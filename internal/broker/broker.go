@@ -70,11 +70,16 @@ var (
 		"Events downgraded to silence by per-link subscription filtering.")
 	tNacksRouted = telemetry.Default().Counter("gryphon_broker_nacks_routed_total",
 		"Nack requests answered or consolidated by this process.")
+	tDrainsCommit   = telemetry.Default().Counter(`gryphon_broker_drains_total{cause="commit"}`, drainsHelp)
+	tDrainsTick     = telemetry.Default().Counter(`gryphon_broker_drains_total{cause="tick"}`, drainsHelp)
 	tAllocsPerEvent = telemetry.Default().Gauge("gryphon_broker_allocs_per_event_milli",
 		"Heap allocations per delivered event over the last sampling window, "+
 			"in thousandths (ReadMemStats sampled every allocSampleTicks ticks). "+
 			"The live-side companion of the TestDeliveryPathAllocsGate bound.")
 )
+
+const drainsHelp = "Hosted-pubend knowledge drains, by trigger: a publish's log commit " +
+	"(the live path) or the housekeeping tick (silence on an idle pubend)."
 
 // allocSampleTicks is how many housekeeping ticks elapse between
 // ReadMemStats samples for the allocs-per-event gauge; ReadMemStats
@@ -274,6 +279,15 @@ type Broker struct {
 	// still needs. Control-shard-owned.
 	coverSrc map[vtime.SubscriberID]map[string]struct{}
 
+	// annSeq counts the announcements sent upstream, annConfirmed how many
+	// of them an echoed SubSync has confirmed in force on the whole path to
+	// the root. syncWait holds what to do when the parent echoes a SubSync
+	// this broker sent (see syncOn), keyed by its token; syncSeq mints the
+	// tokens. Control-shard-owned.
+	annSeq, annConfirmed uint64
+	syncWait             map[uint64]func()
+	syncSeq              uint64
+
 	// downsSnap is the event shards' read-only view of the downstream
 	// fanout set; the control shard republishes it after every downs
 	// mutation. Never nil.
@@ -283,7 +297,7 @@ type Broker struct {
 	// goroutines, written by the control shard.
 	clients sync.Map // vtime.SubscriberID -> overlay.Conn
 
-	pubends map[vtime.PubendID]*pubend.Pubend
+	pubends map[vtime.PubendID]*hostedPubend
 	peVol   *logvol.Volume
 	shb     *core.SHB
 	shbVol  *logvol.Volume
@@ -304,6 +318,16 @@ type Broker struct {
 	hostedIDs []vtime.PubendID
 }
 
+// hostedPubend is one hosted pubend plus the scheduling state of its
+// commit-driven drain: drainQueued is set while drainTask sits in the
+// pubend's shard queue, so however many publishes commit meanwhile, at most
+// one drain is queued and it emits all of them in one batch.
+type hostedPubend struct {
+	*pubend.Pubend
+	drainQueued atomic.Bool
+	drainTask   func() // built once; pushed by kickDrain
+}
+
 // relState is one source's contribution to release aggregation.
 type relState struct {
 	released        vtime.Timestamp
@@ -318,6 +342,11 @@ type downLink struct {
 	matcher *filter.Matcher
 	key     string // aggregation source key
 	isDown  bool   // classified as downstream broker
+
+	// synced is set by the link's first SubSync: the child has announced
+	// everything it subscribes to. Until then the matcher may hold only
+	// part of a resync, so knowledge passes unfiltered.
+	synced atomic.Bool
 
 	// subs is the set of subscriptions announced over this link (the
 	// withdrawal set for a deliberate Leave). Control-shard-owned.
@@ -394,7 +423,7 @@ type shard struct {
 	id     int
 	tasks  *taskQueue
 	done   chan struct{}
-	hosted []vtime.PubendID // hosted pubends assigned to this shard
+	hosted []*hostedPubend // hosted pubends assigned to this shard
 
 	// Shard-loop-owned state (no mutex: only this shard's loop).
 	caches map[vtime.PubendID]*relayCache
@@ -484,7 +513,8 @@ func NewContext(ctx context.Context, cfg Config) (*Broker, error) {
 		downs:    make(map[overlay.Conn]*downLink),
 		upCover:  matchidx.NewCoverSet(),
 		coverSrc: make(map[vtime.SubscriberID]map[string]struct{}),
-		pubends:  make(map[vtime.PubendID]*pubend.Pubend),
+		syncWait: make(map[uint64]func()),
+		pubends:  make(map[vtime.PubendID]*hostedPubend),
 	}
 	b.downsSnap.Store(&[]*downLink{})
 	// Seed the advertised tree position: a root knows it is one (epoch 1);
@@ -519,7 +549,7 @@ func NewContext(ctx context.Context, cfg Config) (*Broker, error) {
 	// the broker's lifetime; everything keys off pubend id mod shards).
 	for _, id := range b.hostedIDs {
 		sh := b.shardFor(id)
-		sh.hosted = append(sh.hosted, id)
+		sh.hosted = append(sh.hosted, b.pubends[id])
 	}
 	if err := b.connect(ctx); err != nil {
 		b.closeState()
@@ -668,7 +698,14 @@ func (b *Broker) openState() error {
 			if err != nil {
 				return err
 			}
-			b.pubends[pc.ID] = pe
+			h := &hostedPubend{Pubend: pe}
+			h.drainTask = func() {
+				// Clear before Drain reads pubend state: a publish that
+				// commits from here on queues the next drain.
+				h.drainQueued.Store(false)
+				b.drain(h, tDrainsCommit)
+			}
+			b.pubends[pc.ID] = h
 			b.hostedIDs = append(b.hostedIDs, pc.ID)
 		}
 	}
@@ -781,6 +818,9 @@ func (b *Broker) newUpstreamSup(addr string) *overlay.Supervisor {
 		Addr:        addr,
 		DialTimeout: b.cfg.DialTimeout,
 		OnUp:        func(conn overlay.Conn) error { return b.upstreamUp(sup, conn) },
+		// Echoes owed by a dead link will not come; the next link's
+		// resync re-announces what they were to confirm.
+		OnDown: func(error) { b.control().push(func() { b.takeSyncs()() }) },
 	})
 	return sup
 }
@@ -812,11 +852,11 @@ func (b *Broker) upstreamUp(sup *overlay.Supervisor, conn overlay.Conn) error {
 // link:
 //
 //   - subscription announcements: the parent's new per-link matcher is
-//     empty, which passes everything — until the first SubUpdate makes it
-//     non-empty and D→S filtering silently drops every subscription not
-//     re-announced. The covering set (local SHB subscriptions plus every
-//     downstream announcement, minimized by subsumption) is replayed from
-//     the control shard, which owns it.
+//     empty and passes everything until this link's first SubSync. The
+//     covering set (local SHB subscriptions plus every downstream
+//     announcement, minimized by subsumption) is replayed from the control
+//     shard, which owns it, with a SubSync behind it. Its echo also
+//     settles the SubSyncs still owed by the previous link.
 //   - pending curiosity: spans nacked while the link was dying are
 //     recorded as pending, so the consolidators will never re-request
 //     them; they are re-nacked here (duplicates are harmless — delivery
@@ -842,6 +882,8 @@ func (b *Broker) resyncUpstream(conn overlay.Conn) {
 			//nolint:errcheck,gosec // link death re-enters the supervisor
 			conn.Send(&message.SubUpdate{Subscriber: op.ID, Filter: op.Filter})
 		}
+		b.annSeq++ // the replay is itself unconfirmed on this path
+		b.syncOn(conn, b.takeSyncs())
 	})
 	for _, sh := range b.shards {
 		sh := sh
@@ -926,10 +968,11 @@ func (b *Broker) accept(conn overlay.Conn) {
 	})
 }
 
-// tickLoop drives periodic work: each tick fans one housekeeping task to
-// every shard and waits for all of them before the next tick, keeping at
-// most one tick in flight per shard (the single-loop broker's semantics,
-// just parallelized across shards).
+// tickLoop drives periodic work (live knowledge does not wait for it — see
+// kickDrain): each tick fans one housekeeping task to every shard and waits
+// for all of them before the next tick, keeping at most one tick in flight
+// per shard (the single-loop broker's semantics, just parallelized across
+// shards).
 func (b *Broker) tickLoop() {
 	defer close(b.tickDone)
 	ticker := time.NewTicker(b.cfg.TickInterval)
@@ -1158,7 +1201,10 @@ func (b *Broker) CatchupCount() int {
 // Pubend returns a hosted pubend (nil if not hosted) — used by tests and
 // the experiment harness to inspect retention.
 func (b *Broker) Pubend(id vtime.PubendID) *pubend.Pubend {
-	return b.pubends[id]
+	if h := b.pubends[id]; h != nil {
+		return h.Pubend
+	}
+	return nil
 }
 
 // --- Core engine callbacks ---

@@ -36,7 +36,9 @@ func net1(t *testing.T, pubs int) (*overlay.InprocNetwork, *Broker) {
 func startBroker(t *testing.T, netw *overlay.InprocNetwork, cfg Config, pubs int, pol pubend.Policy) *Broker {
 	t.Helper()
 	cfg.Transport = netw
-	cfg.TickInterval = testTick
+	if cfg.TickInterval == 0 {
+		cfg.TickInterval = testTick
+	}
 	var all []vtime.PubendID
 	for i := 1; i <= maxInt(pubs, 1); i++ {
 		all = append(all, vtime.PubendID(i))

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/message"
-	"repro/internal/pubend"
 	"repro/internal/vtime"
 )
 
@@ -37,6 +36,8 @@ func (b *Broker) handlePublish(link *downLink, pub *message.Publish) {
 		b.pubInflight.Add(-1)
 		ack := &message.PublishAck{Token: token}
 		if err == nil {
+			// The event is durable: emit it now, not at the next tick.
+			b.kickDrain(pe)
 			ack.Pubend = ev.Pubend
 			ack.Timestamp = ev.Timestamp
 			tPublishes.Inc()
@@ -49,7 +50,7 @@ func (b *Broker) handlePublish(link *downLink, pub *message.Publish) {
 // pickPubend selects the hosted pubend for a publish: the hint when it is
 // hosted here, round-robin otherwise (the paper assigns events to pubends
 // "based on some criteria such as the identity of the publisher").
-func (b *Broker) pickPubend(hint vtime.PubendID) *pubend.Pubend {
+func (b *Broker) pickPubend(hint vtime.PubendID) *hostedPubend {
 	if pe, ok := b.pubends[hint]; ok {
 		return pe
 	}
@@ -88,14 +89,20 @@ func (b *Broker) handleSubscribe(link *downLink, req *message.Subscribe) {
 		})
 		return
 	}
-	//nolint:errcheck,gosec // reply failure == dead link
-	link.conn.Send(&message.SubscribeAck{Subscriber: req.Subscriber, CT: ct})
 	// Propagate toward the PHBs through the covering set: if an announced
 	// cover subsumes this filter, nothing travels upstream. Subscribe
 	// succeeded, so the filter is known to parse.
 	if sub, err := filter.Parse(req.Filter); err == nil {
 		b.coverAdd(req.Subscriber, sub, coverSrcLocal)
 	} else {
-		b.upSend(&message.SubUpdate{Subscriber: req.Subscriber, Filter: req.Filter})
+		b.announce(&message.SubUpdate{Subscriber: req.Subscriber, Filter: req.Filter})
 	}
+	// Knowledge leaves a PHB the moment an event commits, so the subscriber
+	// is told it is subscribed only once the publish path filters with what
+	// was just announced: nothing published after Connect returns can then
+	// be downgraded to silence on the way here.
+	b.syncUpstream(func() {
+		//nolint:errcheck,gosec // reply failure == dead link
+		link.conn.Send(&message.SubscribeAck{Subscriber: req.Subscriber, CT: ct})
+	})
 }

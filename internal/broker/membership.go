@@ -79,6 +79,8 @@ func (b *Broker) DetachUpstream() {
 	b.memberMu.Lock()
 	defer b.memberMu.Unlock()
 	b.retireUpstream(b.upSup.Swap(nil))
+	// A root confirms its own announcements.
+	b.control().push(func() { b.takeSyncs()() })
 	if b.repairMon != nil {
 		b.repairMon.SetPrimary("")
 	}

@@ -7,23 +7,39 @@ import (
 	"repro/internal/matchidx"
 	"repro/internal/message"
 	"repro/internal/overlay"
+	"repro/internal/telemetry"
 	"repro/internal/tick"
 	"repro/internal/vtime"
 )
 
-// tickShard runs one housekeeping round on one shard's loop: drain the
-// shard's hosted pubends, aggregate and propagate its release vectors,
-// and — on the control shard — run the SHB engine's housekeeping and
-// occasionally reclaim PFS storage.
+// kickDrain schedules a drain of h on its shard unless one is already
+// queued. The publish-completion callback calls it, so knowledge leaves when
+// the log commit completes: an idle shard forwards a lone event at once, a
+// busy one emits everything that committed while the task waited.
+func (b *Broker) kickDrain(h *hostedPubend) {
+	if h.drainQueued.CompareAndSwap(false, true) {
+		b.shardFor(h.ID()).push(h.drainTask)
+	}
+}
+
+// drain pushes the knowledge h has accumulated down the tree. Runs on h's
+// shard, from either trigger (cause counts which).
+func (b *Broker) drain(h *hostedPubend, cause *telemetry.Counter) {
+	cause.Inc()
+	if know, _ := h.Drain(); know != nil {
+		b.spreadKnowledge(know)
+	}
+}
+
+// tickShard runs one housekeeping round on one shard's loop: assert silence
+// on the shard's hosted pubends (events were already emitted when they
+// committed), aggregate and propagate its release vectors, and — on the
+// control shard — run the SHB engine's housekeeping and occasionally
+// reclaim PFS storage.
 func (b *Broker) tickShard(sh *shard) {
 	sh.tickN++
-	// Drain hosted pubends and push fresh knowledge down the tree.
-	for _, id := range sh.hosted {
-		pe := b.pubends[id]
-		know, _ := pe.Drain()
-		if know != nil {
-			b.spreadKnowledge(know)
-		}
+	for _, h := range sh.hosted {
+		b.drain(h, tDrainsTick)
 	}
 	if sh == b.control() && b.shb != nil {
 		//nolint:errcheck,gosec // persistence errors surface in tests
@@ -66,8 +82,15 @@ func (b *Broker) fromUpstream(sup *overlay.Supervisor, m message.Message) {
 		if b.upSup.Load() == sup || b.pendingSup.Load() == sup {
 			b.learnTreeInfo(v)
 		}
+	case *message.SubSync:
+		b.control().push(func() {
+			if done := b.syncWait[v.Token]; done != nil {
+				delete(b.syncWait, v.Token)
+				done()
+			}
+		})
 	default:
-		// Upstream sends only knowledge and Hello in this protocol.
+		// Upstream sends only knowledge, Hello and SubSync echoes.
 	}
 }
 
@@ -158,6 +181,14 @@ func (b *Broker) fromBelowControl(link *downLink, m message.Message) {
 	switch v := m.(type) {
 	case *message.SubUpdate:
 		b.handleSubUpdate(link, v)
+	case *message.SubSync:
+		// Everything the link announced before this is in its matcher and,
+		// where it widened our own covers, on its way up: echo once the
+		// path above has confirmed those.
+		link.synced.Store(true)
+		b.syncUpstream(func() {
+			link.conn.Send(v) //nolint:errcheck,gosec // dead links drop via OnClose
+		})
 	case *message.Subscribe:
 		b.handleSubscribe(link, v)
 	case *message.Detach:
@@ -199,6 +230,64 @@ func (b *Broker) coverAdd(id vtime.SubscriberID, sub *filter.Subscription, sourc
 	}
 }
 
+// announce sends a subscription change upstream. Additions count as
+// unconfirmed until a SubSync sent after them is echoed. Runs on the
+// control shard.
+func (b *Broker) announce(su *message.SubUpdate) {
+	if !su.Remove {
+		b.annSeq++
+	}
+	b.upSend(su)
+}
+
+// syncUpstream runs done once every announcement sent upstream so far is in
+// force on the whole path to the root: at once when none is unconfirmed,
+// this is the root, or the link is down (nothing flows over it, and the
+// resync on the next link re-announces and confirms); otherwise when the
+// parent echoes a SubSync. done runs on the control shard, as the caller
+// must.
+func (b *Broker) syncUpstream(done func()) {
+	if b.annConfirmed == b.annSeq {
+		done()
+		return
+	}
+	var conn overlay.Conn
+	if sup := b.upSup.Load(); sup != nil {
+		conn = sup.Conn()
+	}
+	b.syncOn(conn, done)
+}
+
+// syncOn sends a SubSync on conn and runs done when its echo arrives, which
+// confirms every announcement made so far; with no conn, or one that
+// refuses the send, done runs now and confirms nothing. Runs on the control
+// shard.
+func (b *Broker) syncOn(conn overlay.Conn, done func()) {
+	b.syncSeq++
+	if conn == nil || conn.Send(&message.SubSync{Token: b.syncSeq}) != nil {
+		done()
+		return
+	}
+	upTo := b.annSeq
+	b.syncWait[b.syncSeq] = func() {
+		b.annConfirmed = max(b.annConfirmed, upTo)
+		done()
+	}
+}
+
+// takeSyncs empties syncWait into one function that settles every echo still
+// owed: a link that died or was retired will not send them. Runs on the
+// control shard, like the function it returns.
+func (b *Broker) takeSyncs() func() {
+	owed := b.syncWait
+	b.syncWait = make(map[uint64]func())
+	return func() {
+		for _, done := range owed {
+			done()
+		}
+	}
+}
+
 // coverRemove drops one announcement source for a subscription, withdrawing
 // it from the covering set only when no source is left: during a re-parent
 // the departing path's (grace-delayed) withdrawal must not tear down a
@@ -227,7 +316,7 @@ func (b *Broker) coverRemoveAll(id vtime.SubscriberID) {
 }
 
 func (b *Broker) sendCoverOp(op matchidx.CoverOp) {
-	b.upSend(&message.SubUpdate{Subscriber: op.ID, Filter: op.Filter, Remove: op.Remove})
+	b.announce(&message.SubUpdate{Subscriber: op.ID, Filter: op.Filter, Remove: op.Remove})
 }
 
 // spreadKnowledge fans knowledge out to the local SHB and every downstream
@@ -241,7 +330,7 @@ func (b *Broker) spreadKnowledge(know *message.Knowledge) {
 		b.shb.OnKnowledge(know)
 	}
 	for _, link := range *b.downsSnap.Load() {
-		filtered := b.filterKnowledge(know, link.matcher)
+		filtered := b.filterKnowledge(know, link)
 		// One reference per enqueued send (filterKnowledge may hand the
 		// same *Knowledge to several links); the link's wire writer
 		// releases after framing. In-process links never release — their
@@ -251,12 +340,14 @@ func (b *Broker) spreadKnowledge(know *message.Knowledge) {
 	}
 }
 
-// filterKnowledge converts events that match nothing in the matcher into S
-// ranges, preserving complete tick coverage. A matcher with no
-// subscriptions passes everything through: a link whose subscriptions are
-// unknown must not lose data.
-func (b *Broker) filterKnowledge(know *message.Knowledge, m *filter.Matcher) *message.Knowledge {
-	if m.Len() == 0 {
+// filterKnowledge converts events that match nothing in the link's matcher
+// into S ranges, preserving complete tick coverage. A link that has not
+// finished announcing (no SubSync yet) or announced nothing passes
+// everything through: a link whose subscriptions are unknown must not lose
+// data.
+func (b *Broker) filterKnowledge(know *message.Knowledge, link *downLink) *message.Knowledge {
+	m := link.matcher
+	if !link.synced.Load() || m.Len() == 0 {
 		b.eventsForwarded.Add(int64(len(know.Events)))
 		tForwarded.Add(int64(len(know.Events)))
 		return know
@@ -319,7 +410,7 @@ func (b *Broker) replyKnowledge(link *downLink, know *message.Knowledge) {
 		}
 		return
 	}
-	filtered := b.filterKnowledge(know, link.matcher)
+	filtered := b.filterKnowledge(know, link)
 	filtered.RetainRefs()
 	link.conn.Send(filtered) //nolint:errcheck,gosec // dead links drop via OnClose
 }
@@ -332,7 +423,8 @@ func (b *Broker) replyKnowledge(link *downLink, know *message.Knowledge) {
 // ordering against a concurrent storeRelease for the same link (routed
 // independently to this shard) is immaterial.
 func (b *Broker) initLinkFloor(sh *shard, key string) {
-	for _, pub := range sh.hosted {
+	for _, h := range sh.hosted {
+		pub := h.ID()
 		per := sh.relAgg[pub]
 		if per == nil {
 			per = make(map[string]relState)
@@ -426,7 +518,7 @@ func (b *Broker) handleSubUpdate(link *downLink, su *message.SubUpdate) {
 	if err != nil {
 		// Unparseable filters can't be indexed or covered; forward
 		// verbatim (the old behavior) so upstream at least sees them.
-		b.upSend(su)
+		b.announce(su)
 		return
 	}
 	link.matcher.Add(su.Subscriber, sub)

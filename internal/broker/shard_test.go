@@ -35,7 +35,8 @@ func TestShardCountConfig(t *testing.T) {
 	}
 	seen := map[vtime.PubendID]int{}
 	for _, sh := range four.shards {
-		for _, pub := range sh.hosted {
+		for _, h := range sh.hosted {
+			pub := h.ID()
 			seen[pub]++
 			if four.shardFor(pub) != sh {
 				t.Errorf("pubend %d hosted on shard %d but shardFor routes elsewhere", pub, sh.id)

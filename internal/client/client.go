@@ -514,7 +514,11 @@ func (s *Subscriber) attach(conn overlay.Conn, managed bool) error {
 		}
 		s.mu.Lock()
 		if !resume {
-			s.ct = ack.CT.Clone()
+			// Live deliveries may precede the ack (the SHB holds it until
+			// the publish path knows the filter): keep what they advanced.
+			ct := ack.CT.Clone()
+			ct.Merge(s.ct)
+			s.ct = ct
 		}
 		s.everConn = true
 		s.conn = conn

@@ -19,6 +19,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -122,6 +123,7 @@ type Volume struct {
 	// stats for the paper's PFS-vs-event-log data-volume comparison.
 	bytesAppended int64
 	syncs         int64
+	reads         atomic.Int64 // record and range reads (not under mu)
 
 	// testSyncHook, when set, runs inside every file fsync (tests use it
 	// to slow or block flushes deterministically).
@@ -463,6 +465,10 @@ func (v *Volume) Syncs() int64 {
 	return v.syncs
 }
 
+// Reads reports the number of record and range reads that went to the
+// volume file since open (tests pin paths that must not read).
+func (v *Volume) Reads() int64 { return v.reads.Load() }
+
 // Ping reports whether the volume is open and serviceable; admin health
 // checks call it.
 func (v *Volume) Ping() error {
@@ -586,6 +592,7 @@ func (s *Stream) readAtInto(off int64, wantIdx Index, buf []byte) ([]byte, error
 	if cap(buf) < recHeaderSize {
 		buf = make([]byte, recHeaderSize, recHeaderSize+recTrailerLen+512)
 	}
+	s.vol.reads.Add(1)
 	hdr := buf[:recHeaderSize]
 	if _, err := s.vol.f.ReadAt(hdr, off); err != nil {
 		return nil, fmt.Errorf("logvol read header: %w", err)
@@ -649,6 +656,7 @@ func (s *Stream) ReadRange(from Index, buf []byte, visit func(idx Index, payload
 	if avail := end - off; int64(len(buf)) > avail {
 		buf = buf[:avail]
 	}
+	v.reads.Add(1)
 	n, err := s.vol.f.ReadAt(buf, off)
 	if n <= 0 && err != nil {
 		return fmt.Errorf("logvol read range: %w", err)

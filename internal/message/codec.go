@@ -106,6 +106,8 @@ func Encode(buf []byte, m Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Subscriber))
 	case *Leave:
 		buf = appendString(buf, v.Name)
+	case *SubSync:
+		buf = binary.BigEndian.AppendUint64(buf, v.Token)
 	default:
 		return nil, fmt.Errorf("message: cannot encode %T", m)
 	}
@@ -254,6 +256,8 @@ func decode(buf []byte, ref *Ref) (Message, error) {
 		m = &Unsubscribe{Subscriber: vtime.SubscriberID(r.u32())}
 	case TypeLeave:
 		m = &Leave{Name: r.str()}
+	case TypeSubSync:
+		m = &SubSync{Token: r.u64()}
 	default:
 		return nil, fmt.Errorf("message: unknown type %d", buf[0])
 	}

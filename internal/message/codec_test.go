@@ -194,6 +194,9 @@ func TestAckCreditDetachRoundTrip(t *testing.T) {
 	if got, ok := roundTrip(t, &Leave{Name: "edge3"}).(*Leave); !ok || got.Name != "edge3" {
 		t.Errorf("leave mismatch: %+v", got)
 	}
+	if got, ok := roundTrip(t, &SubSync{Token: 1 << 40}).(*SubSync); !ok || got.Token != 1<<40 {
+		t.Errorf("sub-sync mismatch: %+v", got)
+	}
 }
 
 func TestEventStandaloneCodec(t *testing.T) {

@@ -90,6 +90,7 @@ const (
 	TypeSubUpdate                    // subscription propagation toward the PHBs
 	TypeUnsubscribe                  // client→SHB: permanently end a durable subscription
 	TypeLeave                        // broker→broker: deliberate departure from the parent
+	TypeSubSync                      // broker↔broker: subscription-announcement barrier and its echo
 )
 
 // String implements fmt.Stringer.
@@ -125,6 +126,8 @@ func (t Type) String() string {
 		return "unsubscribe"
 	case TypeLeave:
 		return "leave"
+	case TypeSubSync:
+		return "sub-sync"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -431,3 +434,20 @@ type Leave struct {
 
 // WireType implements Message.
 func (*Leave) WireType() Type { return TypeLeave }
+
+// SubSync is the barrier behind subscription announcements. A broker sends
+// it to its parent after the SubUpdates it wants confirmed; the parent
+// forwards one of its own behind whatever those updates made it announce in
+// turn, and the root echoes it. The echo travels back down the same links,
+// so when a broker receives its token again every announcement it sent
+// before the SubSync is installed in the link matchers of the whole publish
+// path. An SHB holds a new subscription's SubscribeAck until then (events
+// published after Connect returns are never filtered as unwanted), and a
+// parent filters a fresh link only once its first SubSync says the child's
+// subscriptions are all re-announced.
+type SubSync struct {
+	Token uint64 // chosen by the sender of the request; echoed unchanged
+}
+
+// WireType implements Message.
+func (*SubSync) WireType() Type { return TypeSubSync }

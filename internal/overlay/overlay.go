@@ -241,7 +241,9 @@ type InprocNetwork struct {
 
 // NewInprocNetwork returns an empty in-process network. latency, if
 // positive, is added to every message delivery (one way), modelling a
-// network hop.
+// network hop: a message is handed to the receiver latency after it was
+// sent, however many others are in flight on the link (propagation delay,
+// not a rate limit).
 func NewInprocNetwork(latency time.Duration) *InprocNetwork {
 	return &InprocNetwork{
 		listeners: make(map[string]func(Conn)),
@@ -314,7 +316,17 @@ type inprocConn struct {
 
 var _ Conn = (*inprocConn)(nil)
 
+// delayed carries a message over a link with latency, with the instant it
+// becomes deliverable.
+type delayed struct {
+	message.Message
+	due time.Time
+}
+
 func (c *inprocConn) Send(m message.Message) error {
+	if c.latency > 0 {
+		m = &delayed{Message: m, due: time.Now().Add(c.latency)}
+	}
 	if err := c.out.push(m); err != nil {
 		tSendErrors.Inc()
 		return err
@@ -334,8 +346,9 @@ func (c *inprocConn) Start(h Handler) {
 					c.hook.fire(ErrPeerClosed)
 					return
 				}
-				if c.latency > 0 {
-					time.Sleep(c.latency)
+				if d, ok := m.(*delayed); ok {
+					time.Sleep(time.Until(d.due))
+					m = d.Message
 				}
 				tMsgsRecv.Inc()
 				h(m)

@@ -320,10 +320,23 @@ func putIdxMap(m map[vtime.SubscriberID]dirtyIdx) {
 	idxMapPool.Put(m)
 }
 
+// recPos locates one live record: its timestamp and log index.
+type recPos struct {
+	ts  vtime.Timestamp
+	idx logvol.Index
+}
+
 type pubendState struct {
-	stream  *logvol.Stream
-	lastTS  vtime.Timestamp
-	chopTS  vtime.Timestamp // records with ts <= chopTS are discarded (L)
+	stream *logvol.Stream
+	lastTS vtime.Timestamp
+	chopTS vtime.Timestamp // records with ts <= chopTS are discarded (L)
+	// live lists the live records in ascending (ts, idx) order — appended
+	// by Write, rebuilt by the recovery scan, trimmed by Chop — so Chop
+	// finds the index of a timestamp by binary search instead of reading
+	// the log. Recovery scans only past the metadata checkpoint, so after a
+	// restart the oldest live records may be missing from the front; Chop
+	// searches those in the log (chopIdxUnlisted).
+	live    []recPos
 	lastIdx map[vtime.SubscriberID]logvol.Index
 	// dirty holds the chain heads advanced since the last checkpoint
 	// capture; checkpoints persist only these deltas (the metastore
@@ -485,6 +498,7 @@ func (p *PFS) recoverPubend(pub vtime.PubendID) (*pubendState, error) {
 		if ts > st.lastTS {
 			st.lastTS = ts
 		}
+		st.live = append(st.live, recPos{ts: ts, idx: idx})
 		for _, sub := range subs {
 			if idx > st.lastIdx[sub] {
 				st.lastIdx[sub] = idx
@@ -549,6 +563,7 @@ func (p *PFS) Write(pub vtime.PubendID, ts vtime.Timestamp, subs []vtime.Subscri
 	}
 	tWrites.Inc()
 	tWriteBytes.Add(int64(len(payload)))
+	st.live = append(st.live, recPos{ts: ts, idx: idx})
 	for _, sub := range include {
 		st.lastIdx[sub] = idx
 		st.markDirtyLocked(pub, sub, idx)
@@ -983,18 +998,16 @@ func (p *PFS) Chop(pub vtime.PubendID, upTo vtime.Timestamp) error {
 	if upTo <= st.chopTS {
 		return nil
 	}
-	// Scan forward from the first live record to find the chop index.
+	// The chop index is that of the last live record at or below upTo.
 	var chopIdx logvol.Index
-	err := st.stream.ForEach(func(idx logvol.Index, payload []byte) bool {
-		ts, _, _, derr := decodeRecord(payload)
-		if derr != nil || ts > upTo {
-			return false
+	n := sort.Search(len(st.live), func(i int) bool { return st.live[i].ts > upTo })
+	if n > 0 {
+		chopIdx = st.live[n-1].idx
+	} else {
+		var err error
+		if chopIdx, err = st.chopIdxUnlisted(upTo); err != nil {
+			return fmt.Errorf("pfs chop search: %w", err)
 		}
-		chopIdx = idx
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("pfs chop scan: %w", err)
 	}
 	st.chopTS = upTo
 	if err := p.opts.Meta.Begin().
@@ -1007,8 +1020,53 @@ func (p *PFS) Chop(pub vtime.PubendID, upTo vtime.Timestamp) error {
 	if err := st.stream.Chop(chopIdx); err != nil {
 		return fmt.Errorf("pfs chop: %w", err)
 	}
+	st.live = st.live[:copy(st.live, st.live[n:])]
 	st.cache.pruneBelow(chopIdx + 1)
 	return nil
+}
+
+// chopIdxUnlisted finds the last record at or below upTo among the live
+// records older than the (ts, idx) list — the ones a restart found covered
+// by the metadata checkpoint and did not read — by binary search over their
+// indexes: O(log n) reads, and none at all once a chop has passed them.
+// NilIndex means there is no such record.
+func (st *pubendState) chopIdxUnlisted(upTo vtime.Timestamp) (logvol.Index, error) {
+	lo := st.stream.FirstLiveIndex()
+	if lo == logvol.NilIndex {
+		return logvol.NilIndex, nil
+	}
+	hi := st.stream.LastIndex() + 1
+	if len(st.live) > 0 {
+		hi = st.live[0].idx
+	}
+	if hi <= lo {
+		return logvol.NilIndex, nil
+	}
+	bufs := readBufPool.Get().(*readBufs)
+	defer readBufPool.Put(bufs)
+	var rerr error
+	k := sort.Search(int(hi-lo), func(i int) bool {
+		// A hole in the index sequence stands for its successor.
+		for idx := lo + logvol.Index(i); idx < hi; idx++ {
+			payload, err := st.stream.ReadInto(idx, bufs.rec)
+			if errors.Is(err, logvol.ErrChopped) || errors.Is(err, logvol.ErrNotFound) {
+				continue
+			}
+			if err == nil && len(payload) < recBase {
+				err = fmt.Errorf("malformed record of %d bytes", len(payload))
+			}
+			if err != nil {
+				rerr = err
+				return true
+			}
+			return vtime.Timestamp(binary.BigEndian.Uint64(payload)) > upTo
+		}
+		return true
+	})
+	if rerr != nil || k == 0 {
+		return logvol.NilIndex, rerr
+	}
+	return lo + logvol.Index(k) - 1, nil
 }
 
 // RecordCount reports the number of live records for the pubend; tests and
@@ -1042,7 +1100,7 @@ func decodeRecord(payload []byte) (vtime.Timestamp, []vtime.SubscriberID, []logv
 
 // decodeRecordArena is decodeRecord with the output slices carved from a
 // pooled arena instead of freshly allocated — the hot-path variant used by
-// fillRecord (cold paths like Chop and recovery keep the allocating form).
+// fillRecord (recovery, the cold path, keeps the allocating form).
 func decodeRecordArena(a *decArena, payload []byte) (vtime.Timestamp, []vtime.SubscriberID, []logvol.Index, error) {
 	if len(payload) < recBase || (len(payload)-recBase)%recPerSub != 0 {
 		return 0, nil, nil, fmt.Errorf("pfs: malformed record of %d bytes", len(payload))

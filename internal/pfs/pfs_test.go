@@ -3,6 +3,7 @@ package pfs
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/logvol"
@@ -515,5 +516,86 @@ func TestCatchupReadAllocsGate(t *testing.T) {
 	t.Logf("catchup read: %.3f allocs per %d-event batch", avg, batch)
 	if avg >= 1.0 {
 		t.Errorf("catchup batch read allocates %.3f, gate is <1 per %d-event batch", avg, batch)
+	}
+}
+
+// TestChopDoesNoPerRecordWork pins the release-path cost of Chop: with
+// 32 768 live records (one flood period between two broker PFS chops) it
+// finds the chop index from the in-memory (ts, idx) list, so it issues no
+// log reads at all and a handful of allocations in total, not one per
+// record. After a restart the list holds only what recovery replayed (the
+// tail past the checkpoint); a chop among the older records must land in
+// the same place with a binary search's worth of log reads.
+func TestChopDoesNoPerRecordWork(t *testing.T) {
+	const records, keep = 32768, 100
+	dir := t.TempDir()
+	f := openFixture(t, dir, Options{})
+	for ts := vtime.Timestamp(1); ts <= records; ts++ {
+		// Sparse timestamps: chopping between two records must pick the lower.
+		if err := f.pfs.Write(1, 2*ts, []vtime.SubscriberID{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	readsBefore := f.vol.Reads()
+	runtime.ReadMemStats(&before)
+	if err := f.pfs.Chop(1, 2*(records-keep)+1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := f.vol.Reads() - readsBefore; got != 0 {
+		t.Errorf("Chop over %d live records issued %d log reads, want 0", records, got)
+	}
+	if allocs := after.Mallocs - before.Mallocs; !raceEnabled && allocs > 64 {
+		t.Errorf("Chop over %d live records made %d allocations, want a constant handful", records, allocs)
+	}
+	if got := f.pfs.RecordCount(1); got != keep {
+		t.Fatalf("RecordCount after chop = %d, want %d", got, keep)
+	}
+	res, err := f.pfs.Read(1, 1, 0, 2*records, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := vtime.Timestamp(2*(records-keep) + 1); res.LostUpTo != want {
+		t.Errorf("LostUpTo = %d, want %d", res.LostUpTo, want)
+	}
+	if len(res.QSpans) != keep {
+		t.Errorf("read above the chop found %d Q ticks, want %d", len(res.QSpans), keep)
+	}
+
+	// Checkpoint everything and reopen: recovery reads nothing back, so the
+	// surviving records are known to the log alone.
+	if err := f.pfs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.vol.Close()  //nolint:errcheck
+	f.meta.Close() //nolint:errcheck
+	f2 := openFixture(t, dir, Options{})
+	if got := f2.vol.Reads(); got != 0 {
+		t.Errorf("recovery behind a full checkpoint issued %d log reads, want 0", got)
+	}
+	if err := f2.pfs.Write(1, 2*records+2, []vtime.SubscriberID{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.pfs.Chop(1, 2*(records-keep/2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f2.pfs.RecordCount(1); got != keep/2+1 {
+		t.Errorf("RecordCount after recovered chop = %d, want %d", got, keep/2+1)
+	}
+	if got := f2.vol.Reads(); got == 0 || got > 16 {
+		t.Errorf("chop among %d unlisted records issued %d log reads, want a binary search's", keep, got)
+	}
+	// The next chop lies in the list again (the record written after the
+	// restart): no reads.
+	readsBefore = f2.vol.Reads()
+	if err := f2.pfs.Chop(1, 2*records+2); err != nil {
+		t.Fatal(err)
+	}
+	if got := f2.pfs.RecordCount(1); got != 0 {
+		t.Errorf("RecordCount after chopping everything = %d, want 0", got)
+	}
+	if got := f2.vol.Reads() - readsBefore; got != 0 {
+		t.Errorf("chop inside the list issued %d log reads, want 0", got)
 	}
 }

@@ -11,9 +11,11 @@
 package pubend
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,8 +23,19 @@ import (
 
 	"repro/internal/logvol"
 	"repro/internal/message"
+	"repro/internal/telemetry"
 	"repro/internal/tick"
 	"repro/internal/vtime"
+)
+
+// Pubend instruments (process-wide; see internal/telemetry).
+var (
+	tDrainEvents = telemetry.Default().Histogram("gryphon_pubend_drain_events",
+		"Events emitted per knowledge drain (the adaptive batch: one on an idle "+
+			"broker, a commit group's worth on a busy one).", telemetry.SizeBuckets)
+	tReadErrors = telemetry.Default().Counter("gryphon_pubend_read_errors_total",
+		"Event-log reads that failed while building knowledge; the tick is "+
+			"withheld (it stays Q downstream and is re-nacked), never emitted as L.")
 )
 
 // The pubend persists a horizon record alongside its event log: the clock
@@ -118,6 +131,7 @@ type Pubend struct {
 	stream  *logvol.Stream
 	horizon *logvol.Stream               // persisted clock lease + release floors
 	index   []entry                      // (ts, log index) in ascending ts order, above loss
+	ready   []*message.Event             // logged, not yet emitted; ascending ts (Drain's input)
 	pending map[vtime.Timestamp]struct{} // publishes still being logged
 	lease   vtime.Timestamp              // persisted bound on exposed virtual time
 	loss    vtime.Timestamp              // L prefix: everything <= loss is lost
@@ -333,10 +347,13 @@ func (p *Pubend) Publish(attrs message.Event) (*message.Event, error) {
 // result.
 func (p *Pubend) PublishAsync(attrs message.Event) *PublishResult {
 	res := &PublishResult{done: make(chan struct{})}
+	// The stamped event outlives this call — Drain hands it downstream from
+	// memory — so it must own its attributes and payload: over an
+	// in-process link they still alias the publisher's buffers.
 	ev := &message.Event{
 		Pubend:  p.id,
-		Attrs:   attrs.Attrs,
-		Payload: attrs.Payload,
+		Attrs:   attrs.Attrs.Clone(),
+		Payload: bytes.Clone(attrs.Payload),
 	}
 	p.mu.Lock()
 	ev.Timestamp = p.clock.Next()
@@ -398,9 +415,10 @@ func (p *Pubend) PublishAsync(attrs message.Event) *PublishResult {
 	return res
 }
 
-// finishPublish clears the in-flight mark, indexes the logged event, and
-// resolves the result. It runs on the publisher's goroutine (synchronous
-// paths) or the volume committer's dispatcher (group path).
+// finishPublish clears the in-flight mark, indexes the logged event, keeps
+// it for the next Drain, and resolves the result. It runs on the publisher's
+// goroutine (synchronous paths) or the volume committer's dispatcher (group
+// path).
 func (p *Pubend) finishPublish(res *PublishResult, ev *message.Event, idx logvol.Index, err error) {
 	p.mu.Lock()
 	delete(p.pending, ev.Timestamp)
@@ -410,19 +428,21 @@ func (p *Pubend) finishPublish(res *PublishResult, ev *message.Event, idx logvol
 		return
 	}
 	// Concurrent publishes may complete out of timestamp order; keep the
-	// index sorted.
+	// index and the ready queue sorted.
 	i := sort.Search(len(p.index), func(i int) bool { return p.index[i].ts > ev.Timestamp })
-	p.index = append(p.index, entry{})
-	copy(p.index[i+1:], p.index[i:])
-	p.index[i] = entry{ts: ev.Timestamp, idx: idx}
+	p.index = slices.Insert(p.index, i, entry{ts: ev.Timestamp, idx: idx})
+	i = sort.Search(len(p.ready), func(i int) bool { return p.ready[i].Timestamp > ev.Timestamp })
+	p.ready = slices.Insert(p.ready, i, ev)
 	p.mu.Unlock()
 	res.resolve(ev, nil)
 }
 
 // Drain returns the knowledge accumulated since the last Drain: S/L ranges
-// and D events covering (prevEmitted, now]. The broker calls it
-// periodically to push knowledge downstream. After Drain, no event will
-// ever be assigned a timestamp at or below the drained horizon.
+// and D events covering (prevEmitted, now]. The broker calls it whenever a
+// publish commits, and on its tick to assert silence on an idle pubend, to
+// push knowledge downstream. The events come from memory (finishPublish
+// kept them), not from the log. After Drain, no event will ever be assigned
+// a timestamp at or below the drained horizon.
 func (p *Pubend) Drain() (*message.Knowledge, vtime.Timestamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -444,13 +464,23 @@ func (p *Pubend) Drain() (*message.Knowledge, vtime.Timestamp) {
 	if now <= p.emitted {
 		return nil, p.emitted
 	}
-	from := p.emitted
 	// Pin the clock so no later publish lands inside the drained range.
 	p.clock.Restore(now)
-	p.emitted = now
 	know := &message.Knowledge{Pubend: p.id}
-	p.fillKnowledgeLocked(know, from, now)
-	return know, now
+	filled := p.fillKnowledgeLocked(know, p.emitted, now, p.ready)
+	if filled == p.emitted {
+		return nil, p.emitted
+	}
+	p.emitted = filled
+	// Everything at or below the horizon has been handed over.
+	n := sort.Search(len(p.ready), func(i int) bool { return p.ready[i].Timestamp > filled })
+	rest := copy(p.ready, p.ready[n:])
+	clear(p.ready[rest:])
+	p.ready = p.ready[:rest]
+	if len(know.Events) > 0 {
+		tDrainEvents.Observe(int64(len(know.Events)))
+	}
+	return know, filled
 }
 
 // ServeNack builds the knowledge response for the requested spans,
@@ -468,45 +498,52 @@ func (p *Pubend) ServeNack(spans []tick.Span) (*message.Knowledge, error) {
 		if end < sp.Start {
 			continue
 		}
-		p.fillKnowledgeLocked(know, sp.Start-1, end)
+		p.fillKnowledgeLocked(know, sp.Start-1, end, nil)
 	}
 	return know, nil
 }
 
-// fillKnowledgeLocked appends ranges/events covering (from, to] to know.
-// Caller holds p.mu.
-func (p *Pubend) fillKnowledgeLocked(know *message.Knowledge, from, to vtime.Timestamp) {
+// fillKnowledgeLocked appends ranges/events covering (from, to] to know and
+// returns the timestamp it covered up to: to, or the tick before an event
+// it could not read. mem holds, in ascending order, events of the interval
+// that are still in memory (Drain's ready queue); the rest are read from
+// the log (nack service). Caller holds p.mu.
+func (p *Pubend) fillKnowledgeLocked(know *message.Knowledge, from, to vtime.Timestamp, mem []*message.Event) vtime.Timestamp {
 	cur := from
 	if p.loss > cur {
 		lend := vtime.MinTS(p.loss, to)
 		know.Ranges = append(know.Ranges, tick.Range{Start: cur + 1, End: lend, Kind: tick.L})
 		cur = lend
 	}
-	if cur >= to {
-		return
-	}
 	// Locate events in (cur, to].
 	i := sort.Search(len(p.index), func(i int) bool { return p.index[i].ts > cur })
 	for cur < to {
 		if i >= len(p.index) || p.index[i].ts > to {
 			know.Ranges = append(know.Ranges, tick.Range{Start: cur + 1, End: to, Kind: tick.S})
-			return
+			return to
 		}
 		e := p.index[i]
 		if e.ts > cur+1 {
 			know.Ranges = append(know.Ranges, tick.Range{Start: cur + 1, End: e.ts - 1, Kind: tick.S})
 		}
-		ev, err := p.readEventLocked(e)
-		if err == nil {
+		if len(mem) > 0 && mem[0].Timestamp == e.ts {
+			know.Events = append(know.Events, mem[0])
+			mem = mem[1:]
+		} else if ev, err := p.readEventLocked(e); err == nil {
 			know.Events = append(know.Events, ev)
-		} else {
-			// The event was chopped concurrently; it is covered by
-			// the loss prefix on the next drain. Mark the tick L.
+		} else if errors.Is(err, logvol.ErrChopped) {
+			// Released and chopped: the tick is lost for good.
 			know.Ranges = append(know.Ranges, tick.Range{Start: e.ts, End: e.ts, Kind: tick.L})
+		} else {
+			// Any other failure says nothing about release. Withhold
+			// the tick: downstream keeps it Q and nacks again.
+			tReadErrors.Inc()
+			return e.ts - 1
 		}
 		cur = e.ts
 		i++
 	}
+	return cur
 }
 
 func (p *Pubend) readEventLocked(e entry) (*message.Event, error) {
