@@ -1,17 +1,10 @@
-// Matching at scale: engine selection and subscription covering.
+// Matching at scale: the attribute index and subscription covering.
 //
-// Every broker hop matches events against subscriptions. The strategy is
-// pluggable per broker:
-//
-//   - MatchEngine: "indexed" (default) — the counting attribute index in
-//     internal/matchidx: equality hash buckets, sorted range bounds,
-//     prefix tries, presence sets; sublinear in the subscription count.
-//   - MatchEngine: "linear" — the brute-force scan; the oracle the index
-//     is property-tested against, and an escape hatch.
-//
-// The standalone broker binary exposes the same knob as a flag
-// (`broker -match-engine indexed|linear`), and cluster topology files as
-// `"matchEngine": "linear"` per broker spec.
+// Every broker hop matches events against subscriptions with the counting
+// attribute index in internal/matchidx: equality hash buckets, sorted
+// range bounds, prefix tries, presence sets; sublinear in the
+// subscription count. (The brute-force scan in internal/filter remains
+// only as the oracle the index is property-tested against.)
 //
 // On top of matching, brokers announce only a *covering set* upstream:
 // a subscription subsumed by another announced one (prefix(topic,
@@ -64,8 +57,6 @@ func run() error {
 	mid, err := repro.StartBroker(context.Background(), repro.BrokerConfig{
 		Name: "mid", Transport: net, ListenAddr: "mid", UpstreamAddr: "phb",
 		TickInterval: 2 * time.Millisecond,
-		// MatchEngine: "linear" would switch this broker's per-link
-		// filters to the brute-force scan; the default is the index.
 	})
 	if err != nil {
 		return err
@@ -80,7 +71,6 @@ func run() error {
 		EnableSHB:    true,
 		AllPubends:   []repro.PubendID{1},
 		TickInterval: 2 * time.Millisecond,
-		MatchEngine:  "indexed", // explicit, but also the default
 	})
 	if err != nil {
 		return err

@@ -10,7 +10,7 @@
 //
 //	ctx := context.Background()
 //	net := repro.NewInprocNetwork(0)
-//	b, _ := repro.StartBroker(context.Background(), ctx, repro.BrokerConfig{
+//	b, _ := repro.StartBroker(ctx, repro.BrokerConfig{
 //		Name:       "node1",
 //		DataDir:    "/tmp/node1",
 //		Transport:  net,
@@ -21,7 +21,7 @@
 //	})
 //	defer b.Close()
 //
-//	pub, _ := repro.NewPublisher(context.Background(), ctx, net, "node1", "my-app")
+//	pub, _ := repro.NewPublisher(ctx, net, "node1", "my-app")
 //	sub, _ := repro.NewDurableSubscriber(repro.SubscriberOptions{
 //		ID:     1,
 //		Filter: `topic = "orders" and qty > 100`,
@@ -233,13 +233,6 @@ func StartBroker(ctx context.Context, cfg BrokerConfig) (*Broker, error) {
 	return broker.NewContext(ctx, cfg)
 }
 
-// StartBrokerContext is StartBroker.
-//
-// Deprecated: StartBroker is context-first now; call it directly.
-func StartBrokerContext(ctx context.Context, cfg BrokerConfig) (*Broker, error) {
-	return broker.NewContext(ctx, cfg)
-}
-
 // Self-healing fail-over types (see BrokerConfig.Parents and DESIGN.md
 // §2.12). A broker with candidate parents and FailoverAfter set repairs
 // its own position in the tree when its upstream dies: Broker.Parents
@@ -340,14 +333,6 @@ var (
 // auto-reconnect, connectivity callbacks) come last.
 func NewPublisher(ctx context.Context, t Transport, addr, name string, opts ...PublisherOption) (*Publisher, error) {
 	return client.NewPublisher(ctx, t, addr, name, opts...)
-}
-
-// NewPublisherWithOptions is NewPublisher with struct options.
-//
-// Deprecated: use NewPublisher with WithPublisherOptions (or the
-// individual With... options).
-func NewPublisherWithOptions(t Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
-	return client.NewPublisherOpts(t, addr, name, opts)
 }
 
 // NewDurableSubscriber creates a durable subscriber handle. Call Connect

@@ -183,55 +183,3 @@ func TestPublicAPITCPDeployment(t *testing.T) {
 		t.Fatal("no delivery over TCP")
 	}
 }
-
-// TestPublicAPIDeprecatedFacade pins the pre-context-first entry points:
-// StartBrokerContext, NewPublisherWithOptions and ConnectContext must keep
-// working verbatim for existing callers while the primary names are
-// context-first.
-func TestPublicAPIDeprecatedFacade(t *testing.T) {
-	net := NewInprocNetwork(0)
-	b, err := StartBrokerContext(context.Background(), BrokerConfig{
-		Name:          "legacy",
-		DataDir:       filepath.Join(t.TempDir(), "legacy"),
-		Transport:     net,
-		ListenAddr:    "legacy",
-		HostedPubends: []PubendConfig{{ID: 1}},
-		EnableSHB:     true,
-		AllPubends:    []PubendID{1},
-		TickInterval:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close() //nolint:errcheck
-
-	pub, err := NewPublisherWithOptions(net, "legacy", "old-caller", PublisherOptions{
-		DialTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close() //nolint:errcheck
-
-	sub, err := NewDurableSubscriber(SubscriberOptions{
-		ID:          7,
-		Filter:      `true`,
-		AckInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.ConnectContext(context.Background(), net, "legacy"); err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Disconnect() //nolint:errcheck
-
-	_, want, err := pub.Publish(Event{Attrs: Attributes{"k": Int(1)}, Payload: []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := <-sub.Deliveries()
-	if d.Kind != DeliverEvent || d.Timestamp != want {
-		t.Fatalf("delivery = %+v, want event @%d", d, want)
-	}
-}

@@ -166,11 +166,6 @@ type Config struct {
 	// RelayCacheSize bounds the intermediate per-pubend event cache
 	// (0 = 65536).
 	RelayCacheSize int
-	// MatchEngine selects the subscription matching strategy for the SHB
-	// engine and the per-link D→S filters: "" or "indexed" for the
-	// counting-based attribute index (internal/matchidx), "linear" for
-	// the brute-force scan (the test oracle / escape hatch).
-	MatchEngine string
 	// SubShards partitions the SHB's subscriber set into N independently
 	// locked shards, each with its own catchup pump (0 = engine default:
 	// min(GOMAXPROCS, 8)). 1 reproduces the original single-lock engine.
@@ -746,7 +741,6 @@ func (b *Broker) openState() error {
 			SilenceInterval: cfg.SilenceInterval,
 			ReadBufferQ:     cfg.ReadBufferQ,
 			EventCacheSize:  cfg.EventCacheSize,
-			MatchEngine:     cfg.MatchEngine,
 			SubShards:       cfg.SubShards,
 			CatchupWeight:   cfg.CatchupWeight,
 			SendNack:        b.shbSendNack,
@@ -955,7 +949,7 @@ func IsCandidateLink(st overlay.LinkStatus) bool {
 func (b *Broker) accept(conn overlay.Conn) {
 	link := &downLink{
 		conn:    conn,
-		matcher: matchidx.MatcherFor(b.cfg.MatchEngine).InstrumentSite("link"),
+		matcher: matchidx.NewMatcher().InstrumentSite("link"),
 		key:     fmt.Sprintf("%s#%d", conn.RemoteAddr(), b.linkSeq.Add(1)),
 		subs:    make(map[vtime.SubscriberID]struct{}),
 	}

@@ -62,7 +62,15 @@ func (b *Broker) pickPubend(hint vtime.PubendID) *hostedPubend {
 }
 
 // handleSubscribe attaches a durable subscriber to the local SHB engine and
-// propagates its subscription toward the PHBs for link filtering.
+// propagates its subscription toward the PHBs for link filtering. Runs on
+// the control shard.
+//
+// The subscriber decides where it is connected (reconnect-anywhere), so a
+// Subscribe from a new connection takes the session over: a session still
+// held by another conn — typically the subscriber's previous link, whose
+// Detach or close has not been processed yet — is detached first, in this
+// same step. A second Subscribe on the conn that already holds the session
+// is rejected and leaves that session as it was.
 func (b *Broker) handleSubscribe(link *downLink, req *message.Subscribe) {
 	if b.shb == nil {
 		//nolint:errcheck,gosec // reply failure == dead link
@@ -73,6 +81,12 @@ func (b *Broker) handleSubscribe(link *downLink, req *message.Subscribe) {
 		})
 		return
 	}
+	owned := b.holdsSession(link.conn, req.Subscriber)
+	if !owned {
+		// Take over the session another conn holds; a no-op when none
+		// does.
+		b.detachSubscriber(req.Subscriber)
+	}
 	// Register the delivery route before Subscribe: the engine pumps
 	// catchup deliveries synchronously inside it. Those deliveries reach
 	// the client ahead of the SubscribeAck, which is safe — on a resume
@@ -80,7 +94,9 @@ func (b *Broker) handleSubscribe(link *downLink, req *message.Subscribe) {
 	b.clients.Store(req.Subscriber, link.conn)
 	ct, err := b.shb.Subscribe(req)
 	if err != nil {
-		b.clients.Delete(req.Subscriber)
+		if !owned {
+			b.clients.Delete(req.Subscriber)
+		}
 		//nolint:errcheck,gosec // reply failure == dead link
 		link.conn.Send(&message.SubscribeAck{
 			Subscriber: req.Subscriber,

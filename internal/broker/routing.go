@@ -141,13 +141,14 @@ func (b *Broker) fromBelow(link *downLink, m message.Message) {
 		key := link.key
 		sh.push(func() { b.storeRelease(sh, key, v.Pubend, v.Released, v.LatestDelivered) })
 	case *message.Ack:
-		// The engine is internally serialized; no routing state is
-		// touched, so stay on the conn goroutine.
-		if b.shb != nil {
+		// The engine is internally serialized and the route is only
+		// read, so stay on the conn goroutine. A conn whose session was
+		// taken over no longer speaks for the subscriber.
+		if b.shb != nil && b.holdsSession(link.conn, v.Subscriber) {
 			b.shb.OnAck(v.Subscriber, v.CT)
 		}
 	case *message.Credit:
-		if b.shb != nil {
+		if b.shb != nil && b.holdsSession(link.conn, v.Subscriber) {
 			b.shb.OnCredit(v.Subscriber, v.Credits)
 		}
 	case *message.Leave:
@@ -192,7 +193,11 @@ func (b *Broker) fromBelowControl(link *downLink, m message.Message) {
 	case *message.Subscribe:
 		b.handleSubscribe(link, v)
 	case *message.Detach:
-		b.detachSubscriber(v.Subscriber)
+		// A late Detach from a conn whose session was taken over must
+		// not tear down the newer session.
+		if b.holdsSession(link.conn, v.Subscriber) {
+			b.detachSubscriber(v.Subscriber)
+		}
 	case *message.Unsubscribe:
 		b.unsubscribe(v.Subscriber)
 	}
@@ -594,6 +599,13 @@ func (b *Broker) dropLink(link *downLink) {
 	for _, id := range gone {
 		b.detachSubscriber(id)
 	}
+}
+
+// holdsSession reports whether conn is the delivery route of the
+// subscriber's session.
+func (b *Broker) holdsSession(conn overlay.Conn, id vtime.SubscriberID) bool {
+	v, ok := b.clients.Load(id)
+	return ok && v == conn
 }
 
 func (b *Broker) detachSubscriber(id vtime.SubscriberID) {

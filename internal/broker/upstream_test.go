@@ -149,11 +149,10 @@ func TestClientsAutoReconnectAcrossBrokerRestart(t *testing.T) {
 	}
 
 	pubStates := make(chan client.ConnState, 16)
-	p, err := client.NewPublisherOpts(netw, "rb", "rpub", client.PublisherOptions{
-		DialTimeout:   500 * time.Millisecond,
-		AutoReconnect: true,
-		OnConnChange:  func(st client.ConnState) { pubStates <- st },
-	})
+	p, err := client.NewPublisher(context.Background(), netw, "rb", "rpub",
+		client.WithDialTimeout(500*time.Millisecond),
+		client.WithAutoReconnect(),
+		client.WithConnChange(func(st client.ConnState) { pubStates <- st }))
 	if err != nil {
 		t.Fatal(err)
 	}

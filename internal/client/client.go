@@ -137,22 +137,6 @@ func NewPublisher(ctx context.Context, t overlay.Transport, addr, name string, o
 	return newPublisher(ctx, t, addr, name, opts)
 }
 
-// NewPublisherOpts connects with struct options and no context.
-//
-// Deprecated: use NewPublisher with WithOptions (or the individual
-// With... options).
-func NewPublisherOpts(t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
-	return newPublisher(context.Background(), t, addr, name, opts)
-}
-
-// NewPublisherContext is NewPublisherOpts with the initial dial bounded
-// by ctx.
-//
-// Deprecated: use NewPublisher with WithOptions.
-func NewPublisherContext(ctx context.Context, t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
-	return newPublisher(ctx, t, addr, name, opts)
-}
-
 func newPublisher(ctx context.Context, t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
 	p := &Publisher{opts: opts, pending: make(map[uint64]chan *message.PublishAck)}
 	if opts.AutoReconnect {
@@ -423,13 +407,6 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 // the link is supervised — reconnects governed by DialTimeout alone — and
 // re-subscribes itself until Disconnect.
 func (s *Subscriber) Connect(ctx context.Context, t overlay.Transport, addr string) error {
-	return s.connect(ctx, t, addr)
-}
-
-// ConnectContext is Connect.
-//
-// Deprecated: Connect is context-first now; call it directly.
-func (s *Subscriber) ConnectContext(ctx context.Context, t overlay.Transport, addr string) error {
 	return s.connect(ctx, t, addr)
 }
 

@@ -103,10 +103,6 @@ type Config struct {
 	// recovery cache). Zero means 65536 events; absence of a cached
 	// event is always recoverable by nacking upstream.
 	EventCacheSize int
-	// MatchEngine selects the subscription matching strategy: "" or
-	// "indexed" for the counting-based attribute index, "linear" for the
-	// brute-force scan (see internal/matchidx).
-	MatchEngine string
 	// SubShards is the number of subscriber shards (each with its own
 	// lock and catchup pump). Zero means min(GOMAXPROCS, 8); values are
 	// clamped to [1, 64].
@@ -308,7 +304,7 @@ func New(cfg Config) (*SHB, error) {
 	}
 	s := &SHB{
 		cfg:     cfg,
-		matcher: matchidx.MatcherFor(cfg.MatchEngine).InstrumentSite("shb"),
+		matcher: matchidx.NewMatcher().InstrumentSite("shb"),
 		pubends: make(map[vtime.PubendID]*shbPubend, len(cfg.Pubends)),
 	}
 	for i := 0; i < cfg.SubShards; i++ {

@@ -6,8 +6,8 @@ import (
 )
 
 // Reduced-scale topology chaos: 6 brokers (1 PHB + 2 mids + 3 SHBs), two
-// crashes and two live re-parents under traffic. The full acceptance run
-// (12+ brokers, 5 kills + 5 re-parents) is BenchmarkTopologyChaos.
+// crashes and two live re-parents under traffic. RunTopologyChaos's
+// defaults (12 brokers, 5 kills + 5 re-parents) are the full-size run.
 func TestTopologyChaosSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run in -short mode")

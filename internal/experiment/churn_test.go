@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -71,4 +72,37 @@ func TestSubscriberChurnShardCount(t *testing.T) {
 	if res.SubShards != want {
 		t.Fatalf("SubShards = %d, want %d", res.SubShards, want)
 	}
+}
+
+// TestSubscriberChurnShardedNotSlower runs the sharded engine and the
+// single-lock baseline over the same seeded churn workload and requires
+// the sharded engine to sustain at least the baseline's live throughput.
+// The comparison needs real parallelism, so it is skipped below 4 CPUs,
+// and it measures the engines, not the race detector, so it is skipped
+// under -race.
+func TestSubscriberChurnShardedNotSlower(t *testing.T) {
+	if runtime.NumCPU() < 4 {
+		t.Skipf("sharded-vs-single-lock throughput needs >= 4 CPUs, have %d", runtime.NumCPU())
+	}
+	if testing.Short() || raceEnabled {
+		t.Skip("throughput comparison in -short mode or under -race")
+	}
+	params := ChurnParams{Subscribers: 5000, Events: 4000, ChurnOps: 400, Seed: 1}
+	sp := params
+	sp.SubShards = min(runtime.GOMAXPROCS(0), 8)
+	sharded, err := RunSubscriberChurn(t.TempDir(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := params
+	bp.SubShards = 1
+	baseline, err := RunSubscriberChurn(t.TempDir(), bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharded.EventsPerSec < baseline.EventsPerSec {
+		t.Fatalf("sharded engine (%d shards) slower than single-lock baseline on %d CPUs: %.0f vs %.0f events/s",
+			sp.SubShards, runtime.NumCPU(), sharded.EventsPerSec, baseline.EventsPerSec)
+	}
+	t.Logf("sharded %.0f ev/s vs single-lock %.0f ev/s", sharded.EventsPerSec, baseline.EventsPerSec)
 }

@@ -8,8 +8,7 @@ import (
 
 // The experiment tests run scaled-down versions of every paper experiment
 // and assert the qualitative shapes the paper reports, not its absolute
-// numbers. The full-size runs live behind cmd/benchrunner and the root
-// benchmarks.
+// numbers. The full-size runs live behind cmd/benchrunner.
 
 func TestRunLatencyShape(t *testing.T) {
 	// The paper's forced-log latency (44 ms) against a multi-hop path;

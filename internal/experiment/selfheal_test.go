@@ -6,8 +6,8 @@ import (
 )
 
 // Reduced-scale self-healing run: 8 brokers (1 PHB + 3 mids + 4 SHBs),
-// three kills of which one is permanent, zero driver re-parents. The full
-// acceptance run (12+ brokers, 5 kills) is BenchmarkSelfHealing.
+// three kills of which one is permanent, zero driver re-parents.
+// RunSelfHealing's defaults (12 brokers, 5 kills) are the full-size run.
 func TestSelfHealingSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run in -short mode")

@@ -8,8 +8,9 @@ import (
 
 // TestShardThroughputSmoke runs the multi-pubend saturation experiment
 // over real loopback TCP with both the serialized baseline and the sharded
-// configuration, checking correctness (no violations, traffic on every
-// path) rather than the speedup ratio, which needs a multi-core box.
+// configuration, checking correctness (no violations or gaps under a
+// steady flood, traffic on every path) rather than the speedup ratio,
+// which needs a multi-core box.
 func TestShardThroughputSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation experiment")
@@ -37,15 +38,16 @@ func TestShardThroughputSmoke(t *testing.T) {
 			if res.Shards != cfg.shards {
 				t.Errorf("Shards = %d, want %d", res.Shards, cfg.shards)
 			}
-			if res.Violations != 0 {
-				t.Errorf("violations = %d, want 0", res.Violations)
+			if res.Violations != 0 || res.Gaps != 0 {
+				t.Errorf("violations = %d, gaps = %d under steady flood, want 0",
+					res.Violations, res.Gaps)
 			}
 			if res.PublishRate <= 0 || res.DeliveryRate <= 0 {
 				t.Errorf("no traffic: publish %.0f/s deliver %.0f/s",
 					res.PublishRate, res.DeliveryRate)
 			}
-			t.Logf("shards=%d (GOMAXPROCS=%d): publish %.0f ev/s, deliver %.0f ev/s, gaps=%d",
-				res.Shards, runtime.GOMAXPROCS(0), res.PublishRate, res.DeliveryRate, res.Gaps)
+			t.Logf("shards=%d (GOMAXPROCS=%d): publish %.0f ev/s, deliver %.0f ev/s",
+				res.Shards, runtime.GOMAXPROCS(0), res.PublishRate, res.DeliveryRate)
 		})
 	}
 }

@@ -48,7 +48,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.groupLinger, "group-linger", 0, "max time a group commit waits for more publishes before fsyncing (0 = none; millisecond granularity)")
 	fs.StringVar(&f.spec.Admin, "admin", "", "admin HTTP address for /metrics, /healthz, /debug/pprof (empty = disabled)")
 	fs.IntVar(&f.spec.Shards, "shards", 0, "event-loop shard count (0 = GOMAXPROCS, 1 = serialized)")
-	fs.StringVar(&f.spec.MatchEngine, "match-engine", "indexed", "subscription matching engine: indexed (counting attribute index) or linear (brute-force scan)")
 	fs.IntVar(&f.spec.SubShards, "sub-shards", 0, "SHB subscriber shard count (0 = min(GOMAXPROCS, 8), 1 = single-lock engine)")
 	fs.IntVar(&f.spec.CatchupWeight, "catchup-weight", 0, "catchup scheduler quantum: events one catchup stream may deliver per round before yielding to live traffic (0 = 256)")
 	fs.DurationVar(&f.dialTimeout, "dial-timeout", 0, "upstream dial bound, initial and supervised reconnects (0 = unbounded)")

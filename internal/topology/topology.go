@@ -45,10 +45,6 @@ type Tuning struct {
 	// stream may deliver per round before yielding to live traffic
 	// (0 = engine default 256).
 	CatchupWeight int `json:"catchupWeight,omitempty"`
-	// MatchEngine selects the subscription matching engine: "" or
-	// "indexed" for the counting attribute index, "linear" for the
-	// brute-force scan.
-	MatchEngine string `json:"matchEngine,omitempty"`
 }
 
 // Apply copies the tuning knobs onto a broker config.
@@ -56,7 +52,6 @@ func (t Tuning) Apply(cfg *broker.Config) {
 	cfg.Shards = t.Shards
 	cfg.SubShards = t.SubShards
 	cfg.CatchupWeight = t.CatchupWeight
-	cfg.MatchEngine = t.MatchEngine
 }
 
 // BrokerSpec describes one broker of a topology. Its zero value plus Name
@@ -429,7 +424,6 @@ var ConfigFieldMap = map[string]string{
 	"PFSSyncEvery":        "pfsSyncEvery",
 	"PFSImpreciseBucket":  "pfsImpreciseBucketTicks",
 	"RelayCacheSize":      "relayCacheSize",
-	"MatchEngine":         "matchEngine",
 	"SubShards":           "subShards",
 	"CatchupWeight":       "catchupWeight",
 	"MetaCommitLatency":   "metaCommitLatencyMillis",

@@ -24,7 +24,7 @@ func fullSpec() *Spec {
 				MetaCommitLatencyMillis: 1, ReadBufferQ: 100,
 				EventCacheSize: 2048, RelayCacheSize: 8192, PFSSyncEvery: 10,
 				PFSImpreciseBucketTicks: 64, Admin: "127.0.0.1:0",
-				Tuning: Tuning{Shards: 2, SubShards: 3, CatchupWeight: 128, MatchEngine: "linear"},
+				Tuning: Tuning{Shards: 2, SubShards: 3, CatchupWeight: 128},
 			},
 			{Name: "mid", Listen: "127.0.0.1:0", Upstream: "phb"},
 			{Name: "edge", Listen: "127.0.0.1:0", Upstream: "mid", SHB: true, AllPubends: []uint32{1, 2}},
@@ -103,7 +103,7 @@ func TestBrokerConfig(t *testing.T) {
 	if len(cfg.HostedPubends) != 2 || !cfg.HostedPubends[0].SyncEveryPublish || cfg.HostedPubends[0].Policy == nil {
 		t.Errorf("HostedPubends = %+v", cfg.HostedPubends)
 	}
-	if cfg.Shards != 2 || cfg.SubShards != 3 || cfg.CatchupWeight != 128 || cfg.MatchEngine != "linear" {
+	if cfg.Shards != 2 || cfg.SubShards != 3 || cfg.CatchupWeight != 128 {
 		t.Errorf("tuning: %+v", cfg)
 	}
 }
@@ -129,7 +129,7 @@ func TestFlagsSpec(t *testing.T) {
 		SHB: true, AllPubends: []uint32{1, 2},
 		MaxRetainMillis: 1000, PubendSync: "group", GroupLingerMillis: 3,
 		TickMillis: 2, DialTimeoutMillis: 500, LeaveGraceMillis: 100,
-		Tuning: Tuning{Shards: 4, MatchEngine: "indexed"},
+		Tuning: Tuning{Shards: 4},
 	}
 	if !reflect.DeepEqual(spec, want) {
 		t.Fatalf("spec mismatch:\n got: %+v\nwant: %+v", spec, want)
