@@ -21,6 +21,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/message"
@@ -76,7 +77,10 @@ type Conn interface {
 	// exactly once; messages received before Start are buffered.
 	Start(h Handler)
 	// Close tears down the link and waits for its goroutines to exit.
-	// The peer's handler observes the close via OnClose.
+	// Every message Send accepted before Close is written before the link
+	// goes down, bounded by the flush deadline (a peer that stops reading
+	// loses the rest, reported as a write error); a later Send fails with
+	// ErrClosed. The peer observes the close via OnClose, after the flush.
 	Close() error
 	// OnClose registers a callback invoked once when the connection
 	// shuts down (either side), with the reason: ErrLocalClosed for a
@@ -191,12 +195,6 @@ func (q *queue) close() {
 		q.gauged = 0
 	}
 	q.cond.Broadcast()
-}
-
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.items.Len()
 }
 
 // closeHook manages the one-shot OnClose callback shared by both conn
@@ -420,20 +418,11 @@ func (TCPTransport) DialContext(ctx context.Context, addr string) (Conn, error) 
 // address; the experiment harness uses it to build multi-process-like
 // topologies on loopback.
 func ListenAny(accept func(Conn)) (io.Closer, string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := TCPTransport{}.Listen("127.0.0.1:0", accept)
 	if err != nil {
-		return nil, "", fmt.Errorf("overlay listen: %w", err)
+		return nil, "", err
 	}
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accept(newTCPConn(nc))
-		}
-	}()
-	return ln, ln.Addr().String(), nil
+	return ln, ln.(net.Listener).Addr().String(), nil
 }
 
 // tcpConn pairs an outbound queue + writer goroutine with a reader
@@ -445,6 +434,7 @@ type tcpConn struct {
 
 	startOnce  sync.Once
 	closeOnce  sync.Once
+	closing    atomic.Bool // Close is flushing: writes run under the flush deadline
 	writerDone chan struct{}
 	readerDone chan struct{}
 }
@@ -499,6 +489,9 @@ func (c *tcpConn) writer() {
 			continue
 		}
 		tWriteBatch.Observe(int64(framed))
+		if c.closing.Load() { // Close's residue gets a flush window of its own
+			c.nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout)) //nolint:errcheck,gosec // a failed write reports it
+		}
 		if _, err := c.nc.Write(buf); err != nil {
 			c.teardown(fmt.Errorf("overlay write: %w", err))
 			return
@@ -577,13 +570,19 @@ func (c *tcpConn) teardown(reason error) {
 	})
 }
 
+// closeFlushTimeout is the flush deadline: during Close, each write gets
+// this long to reach a peer that may have stopped reading.
+const closeFlushTimeout = 100 * time.Millisecond
+
+// Close refuses further sends, lets the writer drain the closed queue's
+// residue (popAll hands it out before reporting closed), and only then
+// closes the socket.
 func (c *tcpConn) Close() error {
-	// Let queued messages drain briefly before closing the socket.
-	for i := 0; i < 100 && c.out.len() > 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	c.teardown(ErrLocalClosed)
+	c.closing.Store(true)
+	c.out.close()
+	c.nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout)) //nolint:errcheck,gosec // bounds a write already blocked on the peer
 	<-c.writerDone
+	c.teardown(ErrLocalClosed)
 	if c.readerDone != nil {
 		<-c.readerDone
 	}

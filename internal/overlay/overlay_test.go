@@ -280,9 +280,6 @@ func TestQueueSemantics(t *testing.T) {
 	if err := q.push(ack(1)); err != nil {
 		t.Fatal(err)
 	}
-	if q.len() != 1 {
-		t.Errorf("len = %d", q.len())
-	}
 	m, ok := q.pop()
 	if !ok || m.(*message.Ack).Subscriber != 1 {
 		t.Fatalf("pop = %v/%v", m, ok)
